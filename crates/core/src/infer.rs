@@ -1,11 +1,13 @@
 //! Tape-free inference: the KUCNet forward pass with frozen parameters.
 //!
 //! Training records every op on a [`Tape`](kucnet_tensor::Tape) so gradients
-//! can flow backward; scoring a user online needs none of that. This module
-//! re-runs the exact arithmetic of [`crate::model::forward`] +
-//! [`crate::model::score_logits`] directly over [`Matrix`] values — same
-//! kernels, same op order, so the scores are bit-identical to the taped
-//! forward in eval mode — without allocating a single tape node.
+//! can flow backward; scoring a user online needs none of that. One layer
+//! driver, [`node_logits`], runs the propagation directly over [`Matrix`]
+//! values in either precision ([`Weights`]). In f32 it re-runs the exact
+//! arithmetic of [`crate::model::forward`] + [`crate::model::score_logits`]
+//! — same kernels, same op order, so the scores are bit-identical to the
+//! taped forward in eval mode — without allocating a single tape node; in
+//! i8 only the message aggregation changes (see [`crate::quant`]).
 //!
 //! It also defines [`ScoreService`], the trait the online serving layer
 //! (`kucnet-serve`) and the offline benchmarks both consume: "give me the
@@ -15,76 +17,179 @@
 
 use std::sync::Arc;
 
-use kucnet_graph::{LayeredGraph, UserId};
+use parking_lot::RwLock;
+
+use kucnet_graph::{LayeredGraph, NodeId, UserId};
 use kucnet_tensor::{
     add_elementwise_into, attn_edge_scores_into, gather_rows_into, scale_rows_in_place,
-    scale_scatter_add_rows_into, Matrix, MatrixPool, ParamStore,
+    scale_scatter_add_rows_into, Matrix, MatrixPool, ParamStore, PoolGuard, PoolStash,
 };
 
 use crate::config::{Activation, AggregationNorm, KucNetConfig};
 use crate::model::KucNetParams;
-use crate::quant::UserState;
+use crate::quant::{aggregate_i8, QuantizedParams, UserState};
+
+/// The frozen weights one tape-free forward runs on: the f32 master
+/// parameters, or their inference-only i8 companion (DESIGN.md §16). The
+/// precision is a value, so both run through the same layer driver.
+#[derive(Clone, Copy)]
+pub enum Weights<'a> {
+    /// The f32 master weights: bitwise identical to the taped forward.
+    F32(&'a ParamStore, &'a KucNetParams),
+    /// The quantized companion: node-level two-digit i8 matmuls.
+    I8(&'a QuantizedParams),
+}
+
+impl Weights<'_> {
+    /// Number of propagation layers the weights cover.
+    fn depth(&self) -> usize {
+        match self {
+            Weights::F32(_, params) => params.layers.len(),
+            Weights::I8(qp) => qp.layers().len(),
+        }
+    }
+
+    /// The readout vector `w` of Eq. 7 (exact f32 in both precisions).
+    fn final_w(&self) -> &Matrix {
+        match self {
+            Weights::F32(store, params) => store.value(params.final_w),
+            Weights::I8(qp) => qp.final_w(),
+        }
+    }
+}
 
 /// Runs the KUCNet propagation (Eqs. 5–7) over `graph` with the frozen
-/// parameters in `store`, returning the score logit of every node in the
-/// final layer. No tape, no gradient bookkeeping.
+/// `weights`, returning the score logit of every node in the final layer.
+/// No tape, no gradient bookkeeping, and dropout is never applied (this is
+/// an eval-mode path, matching `forward(..., dropout_rng: None)`).
 ///
-/// Dropout is never applied (this is an eval-mode path), matching
-/// `forward(..., dropout_rng: None)`.
-pub fn infer_node_logits(
-    store: &ParamStore,
-    params: &KucNetParams,
-    config: &KucNetConfig,
-    graph: &LayeredGraph,
-) -> Vec<f32> {
-    infer_node_logits_pooled(&mut MatrixPool::new(), store, params, config, graph)
-}
-
-/// [`infer_node_logits`] drawing every intermediate from `pool`: on a warm
-/// pool a whole propagation allocates nothing fresh. Scores are bitwise
-/// identical to the unpooled path — every kernel overwrites (or starts
-/// zeroed in) its output, and per-element arithmetic order is unchanged.
-pub fn infer_node_logits_pooled(
+/// Every intermediate is drawn from `pool`, so on a warm pool a whole
+/// propagation allocates nothing fresh. With `resume = Some(h¹)` (see
+/// [`first_layer`]) the pass starts at layer 2. Both paths run the same
+/// per-layer code, so a resumed pass is **bitwise identical** to the full
+/// pass in either precision. In f32 the logits are bitwise identical to the
+/// taped forward in eval mode: same kernels, same op order.
+pub fn node_logits(
     pool: &mut MatrixPool,
-    store: &ParamStore,
-    params: &KucNetParams,
+    weights: Weights<'_>,
     config: &KucNetConfig,
     graph: &LayeredGraph,
+    resume: Option<&Matrix>,
 ) -> Vec<f32> {
-    assert_eq!(params.layers.len(), graph.depth(), "depth mismatch");
-    // h^0_{u:u} = 0 for the single root node.
-    let mut h = pool.matrix_zeroed(1, config.dim);
-    for l in 0..graph.layers.len() {
-        h = propagate_layer(pool, store, params, config, graph, l, h);
+    assert_eq!(weights.depth(), graph.depth(), "depth mismatch");
+    let mut scratch = (Vec::new(), Vec::new());
+    let (mut h, start) = match resume {
+        Some(h1) => {
+            assert!(!graph.layers.is_empty(), "cannot resume a depth-0 graph");
+            assert_eq!(
+                h1.rows(),
+                graph.node_lists[1].len(),
+                "stale user state: layer-1 row mismatch"
+            );
+            (pool.matrix_copy(h1), 1)
+        }
+        // h^0_{u:u} = 0 for the single root node.
+        None => (pool.matrix_zeroed(1, config.dim), 0),
+    };
+    for l in start..graph.layers.len() {
+        h = propagate_layer(pool, weights, config, graph, l, &mut scratch, h);
     }
-    finish_logits(pool, store, params, h)
+    // ŷ = w^T h (Eq. 7): one logit per final-layer node.
+    let mut out = pool.matrix_raw(h.rows(), 1);
+    h.matmul_into(weights.final_w(), &mut out);
+    let logits = out.data().to_vec();
+    pool.release_matrix(h);
+    pool.release_matrix(out);
+    logits
 }
 
-/// One propagation layer of the tape-free forward (the loop body of
-/// [`infer_node_logits_pooled`], factored out so the precomputed-state
-/// resume path runs the *same machine code* — bitwise identity between the
-/// full pass and a layer-1 resume is by construction, not by tolerance).
+/// The user's layer-1 propagation `h¹`: the per-user half of the forward
+/// pass, which depends only on the subgraph and the frozen weights, not on
+/// which items are being ranked. Materialized once at cache-fill time as a
+/// [`UserState`]; [`node_logits`] with `resume = Some(h¹)` then skips
+/// layer 1 entirely.
+pub fn first_layer(
+    pool: &mut MatrixPool,
+    weights: Weights<'_>,
+    config: &KucNetConfig,
+    graph: &LayeredGraph,
+) -> Matrix {
+    assert_eq!(weights.depth(), graph.depth(), "depth mismatch");
+    assert!(!graph.layers.is_empty(), "cannot precompute layer 1 of a depth-0 graph");
+    let h0 = pool.matrix_zeroed(1, config.dim);
+    propagate_layer(pool, weights, config, graph, 0, &mut (Vec::new(), Vec::new()), h0)
+}
+
+/// One propagation layer of the tape-free forward, in either precision.
+/// Only the message aggregation differs per precision; the empty-layer
+/// short-circuit, the `MeanIn` normalization and the activation are shared.
 /// Consumes (and releases) `h`, returning the next layer's activations.
 fn propagate_layer(
+    pool: &mut MatrixPool,
+    weights: Weights<'_>,
+    config: &KucNetConfig,
+    graph: &LayeredGraph,
+    l: usize,
+    scratch: &mut (Vec<i8>, Vec<i8>),
+    h: Matrix,
+) -> Matrix {
+    let layer = &graph.layers[l];
+    let out_rows = graph.node_lists[l + 1].len();
+    if layer.n_edges() == 0 {
+        pool.release_matrix(h);
+        return pool.matrix_zeroed(out_rows, config.dim);
+    }
+    let mut agg = match weights {
+        Weights::F32(store, params) => aggregate_f32(pool, store, params, config, graph, l, &h),
+        Weights::I8(qp) => aggregate_i8(pool, qp, config, graph, l, scratch, &h),
+    };
+    pool.release_matrix(h);
+    if config.agg_norm == AggregationNorm::MeanIn {
+        let mut indeg = pool.acquire_zeroed(out_rows);
+        for &dst in &layer.dst_pos {
+            indeg[dst as usize] += 1.0;
+        }
+        let mut inv = pool.acquire(out_rows);
+        for (slot, &c) in inv.iter_mut().zip(indeg.iter()) {
+            *slot = if c > 0.0 { 1.0 / c } else { 0.0 };
+        }
+        scale_rows_in_place(&mut agg, &inv);
+        pool.release(indeg);
+        pool.release(inv);
+    }
+    match config.activation {
+        Activation::Identity => {}
+        Activation::Tanh => {
+            for x in agg.data_mut() {
+                *x = x.tanh();
+            }
+        }
+        Activation::Relu => {
+            for x in agg.data_mut() {
+                *x = x.max(0.0);
+            }
+        }
+    }
+    agg
+}
+
+/// The f32 message aggregation of layer `l`: per-edge `W^l (h_s + h_r)`,
+/// scaled by the attention α (Eq. 6) and scattered onto the next layer.
+fn aggregate_f32(
     pool: &mut MatrixPool,
     store: &ParamStore,
     params: &KucNetParams,
     config: &KucNetConfig,
     graph: &LayeredGraph,
     l: usize,
-    h: Matrix,
+    h: &Matrix,
 ) -> Matrix {
     let d = config.dim;
     let layer = &graph.layers[l];
     let p = &params.layers[l];
-    let out_rows = graph.node_lists[l + 1].len();
-    if layer.n_edges() == 0 {
-        pool.release_matrix(h);
-        return pool.matrix_zeroed(out_rows, d);
-    }
     let e = layer.n_edges();
     let mut hs = pool.matrix_raw(e, d);
-    gather_rows_into(&h, &layer.src_pos, &mut hs);
+    gather_rows_into(h, &layer.src_pos, &mut hs);
     let mut hr = pool.matrix_raw(e, d);
     gather_rows_into(store.value(p.rel), &layer.rel, &mut hr);
     // message = W^l (h_s + h_r)
@@ -128,7 +233,7 @@ fn propagate_layer(
         None
     };
     // Fused α-scale + scatter into a pooled accumulator.
-    let mut agg = pool.matrix_zeroed(out_rows, d);
+    let mut agg = pool.matrix_zeroed(graph.node_lists[l + 1].len(), d);
     scale_scatter_add_rows_into(&msg, alpha.as_ref(), &layer.dst_pos, &mut agg);
     if let Some(alpha) = alpha {
         pool.release_matrix(alpha);
@@ -137,89 +242,134 @@ fn propagate_layer(
     pool.release_matrix(hr);
     pool.release_matrix(summed);
     pool.release_matrix(msg);
-    if config.agg_norm == AggregationNorm::MeanIn {
-        let mut indeg = pool.acquire_zeroed(out_rows);
-        for &dst in &layer.dst_pos {
-            indeg[dst as usize] += 1.0;
-        }
-        let mut inv = pool.acquire(out_rows);
-        for (slot, &c) in inv.iter_mut().zip(indeg.iter()) {
-            *slot = if c > 0.0 { 1.0 / c } else { 0.0 };
-        }
-        scale_rows_in_place(&mut agg, &inv);
-        pool.release(indeg);
-        pool.release(inv);
-    }
-    match config.activation {
-        Activation::Identity => {}
-        Activation::Tanh => {
-            for x in agg.data_mut() {
-                *x = x.tanh();
-            }
-        }
-        Activation::Relu => {
-            for x in agg.data_mut() {
-                *x = x.max(0.0);
-            }
-        }
-    }
-    pool.release_matrix(h);
     agg
 }
 
-/// ŷ = w^T h (Eq. 7): one logit per final-layer node, releasing `h`.
-fn finish_logits(
-    pool: &mut MatrixPool,
-    store: &ParamStore,
-    params: &KucNetParams,
-    h: Matrix,
-) -> Vec<f32> {
-    let mut out = pool.matrix_raw(h.rows(), 1);
-    h.matmul_into(store.value(params.final_w), &mut out);
-    let logits = out.data().to_vec();
-    pool.release_matrix(h);
-    pool.release_matrix(out);
-    logits
-}
-
-/// The user's layer-1 propagation `h¹` (the per-user half of the forward
-/// pass that depends only on the subgraph and the frozen parameters, not on
-/// which items are being ranked). Materialized once at cache-fill time as a
-/// [`UserState`]; [`infer_node_logits_resume`] then skips layer 1 entirely.
-pub fn infer_first_layer(
-    pool: &mut MatrixPool,
-    store: &ParamStore,
-    params: &KucNetParams,
-    config: &KucNetConfig,
+/// Maps final-layer node logits to a dense per-item score vector of length
+/// `n_items`, using the host's node→item mapping (items absent from the
+/// final layer score 0, per Algorithm 1).
+pub(crate) fn item_scores(
     graph: &LayeredGraph,
-) -> Matrix {
-    assert_eq!(params.layers.len(), graph.depth(), "depth mismatch");
-    assert!(!graph.layers.is_empty(), "cannot precompute layer 1 of a depth-0 graph");
-    let h0 = pool.matrix_zeroed(1, config.dim);
-    propagate_layer(pool, store, params, config, graph, 0, h0)
-}
-
-/// [`infer_node_logits_pooled`] resuming from a precomputed `h¹` (see
-/// [`infer_first_layer`]): runs layers `2..L` and the readout only. Both
-/// paths share [`propagate_layer`] verbatim, so for the same `graph` and
-/// parameters the resumed logits are **bitwise identical** to the full
-/// pass — the warm serve path can skip layer 1 without a parity cost.
-pub fn infer_node_logits_resume(
-    pool: &mut MatrixPool,
-    store: &ParamStore,
-    params: &KucNetParams,
-    config: &KucNetConfig,
-    graph: &LayeredGraph,
-    h1: &Matrix,
+    logits: &[f32],
+    n_items: usize,
+    item_of: impl Fn(NodeId) -> Option<usize>,
 ) -> Vec<f32> {
-    assert_eq!(params.layers.len(), graph.depth(), "depth mismatch");
-    assert!(!graph.layers.is_empty(), "cannot resume a depth-0 graph");
-    assert_eq!(h1.rows(), graph.node_lists[1].len(), "stale user state: layer-1 row mismatch");
-    let mut h = pool.matrix_copy(h1);
-    for l in 1..graph.layers.len() {
-        h = propagate_layer(pool, store, params, config, graph, l, h);
+    let mut scores = vec![0.0f32; n_items];
+    if let Some(last) = graph.node_lists.last() {
+        for (pos, &node) in last.iter().enumerate() {
+            if let Some(item) = item_of(node) {
+                scores[item] = logits[pos];
+            }
+        }
     }
-    finish_logits(pool, store, params, h)
+    scores
+}
+
+/// A set of frozen KUCNet weights ready to score: the f32 master
+/// parameters, a stash of warm inference pools, and the publish-once i8
+/// companion built lazily from them. [`crate::KucNet`] and
+/// [`crate::ShardService`] each own one and delegate every scoring call of
+/// [`ScoreService`] to it.
+pub(crate) struct FrozenScorer {
+    /// The f32 master weights (authoritative; training updates them).
+    store: ParamStore,
+    /// Parameter handles into `store`.
+    params: KucNetParams,
+    /// Warm pools for scoring calls that bring no pool of their own.
+    pools: PoolStash,
+    /// The inference-only i8 companion (DESIGN.md §16), built on first use
+    /// from `store` and dropped by [`FrozenScorer::store_mut`], so it never
+    /// outlives the weights it was quantized from.
+    quant: RwLock<Option<Arc<QuantizedParams>>>,
+}
+
+impl FrozenScorer {
+    /// Wraps freshly initialized or loaded master weights.
+    pub(crate) fn new(store: ParamStore, params: KucNetParams) -> Self {
+        Self { store, params, pools: PoolStash::new(), quant: RwLock::new(None) }
+    }
+
+    /// The f32 master weights.
+    pub(crate) fn store(&self) -> &ParamStore {
+        &self.store
+    }
+
+    /// Parameter handles into [`FrozenScorer::store`].
+    pub(crate) fn params(&self) -> &KucNetParams {
+        &self.params
+    }
+
+    /// Mutable access to the master weights (training, checkpoint loads).
+    /// Drops the i8 companion first: the next quantized call rebuilds it
+    /// from whatever the caller leaves in the store.
+    pub(crate) fn store_mut(&mut self) -> &mut ParamStore {
+        *self.quant.write() = None;
+        &mut self.store
+    }
+
+    /// Checks a warm pool out of the stash (returned on drop).
+    pub(crate) fn pool(&self) -> PoolGuard<'_> {
+        self.pools.checkout()
+    }
+
+    /// Final-layer node logits of `graph`. With a `state`, the pass resumes
+    /// at layer 2 in the state's precision; otherwise it runs in full, in
+    /// i8 when `quantized`.
+    pub(crate) fn logits(
+        &self,
+        pool: &mut MatrixPool,
+        config: &KucNetConfig,
+        graph: &LayeredGraph,
+        quantized: bool,
+        state: Option<&UserState>,
+    ) -> Vec<f32> {
+        let quantized = state.map_or(quantized, UserState::quantized);
+        let qp = quantized.then(|| self.quantized_params());
+        node_logits(pool, self.weights(qp.as_deref()), config, graph, state.map(UserState::h1))
+    }
+
+    /// The user's precomputed layer-1 propagation in the given precision,
+    /// or `None` when `graph` has no layer-1 nodes (nothing is worth
+    /// precomputing; the full pass scores it the same).
+    pub(crate) fn user_state(
+        &self,
+        pool: &mut MatrixPool,
+        config: &KucNetConfig,
+        graph: &LayeredGraph,
+        quantized: bool,
+    ) -> Option<Arc<UserState>> {
+        if graph.node_lists.get(1).is_none_or(Vec::is_empty) {
+            return None;
+        }
+        let qp = quantized.then(|| self.quantized_params());
+        let h1 = first_layer(pool, self.weights(qp.as_deref()), config, graph);
+        Some(Arc::new(UserState::new(quantized, h1)))
+    }
+
+    /// The f32 weights, or the given i8 companion.
+    fn weights<'a>(&'a self, qp: Option<&'a QuantizedParams>) -> Weights<'a> {
+        match qp {
+            Some(qp) => Weights::I8(qp),
+            None => Weights::F32(&self.store, &self.params),
+        }
+    }
+
+    /// The current quantized companion, built on first use from the f32
+    /// master weights and shared until they change. See DESIGN.md §16.
+    pub(crate) fn quantized_params(&self) -> Arc<QuantizedParams> {
+        if let Some(qp) = self.quant.read().as_ref() {
+            return Arc::clone(qp);
+        }
+        let built = Arc::new(QuantizedParams::build(&self.store, &self.params));
+        let mut slot = self.quant.write();
+        // A racing builder may have beaten us; keep whichever landed first
+        // so every concurrent scorer shares one companion.
+        if let Some(qp) = slot.as_ref() {
+            return Arc::clone(qp);
+        }
+        *slot = Some(Arc::clone(&built));
+        built
+    }
 }
 
 /// A trained model usable as an online candidate scorer.
@@ -291,7 +441,9 @@ pub trait ScoreService: Send + Sync {
     /// `CacheVersion{model, graph}` stamp as the subgraph, so model swaps
     /// and dynamic-graph ticks invalidate both together. `None` (the
     /// default) means the service does not precompute state and every
-    /// request runs the full forward.
+    /// request runs the full forward; services that do precompute still
+    /// return `None` for a graph with no layer-1 nodes, whose full pass is
+    /// trivially all zeros.
     fn build_user_state(
         &self,
         _pool: &mut MatrixPool,
@@ -431,7 +583,13 @@ mod tests {
                 &mut KeepAll,
             );
             let taped = logits_via_tape(&store, &params, &config, &graph);
-            let free = infer_node_logits(&store, &params, &config, &graph);
+            let free = node_logits(
+                &mut MatrixPool::new(),
+                Weights::F32(&store, &params),
+                &config,
+                &graph,
+                None,
+            );
             assert_eq!(taped, free, "tape-free forward diverged (user {u}, {config:?})");
         }
     }

@@ -15,23 +15,23 @@ use kucnet_graph::{
 };
 use kucnet_ppr::{PprCache, PprConfig, RandomK};
 use kucnet_tensor::{
-    collect_grads, Adam, GradEntry, Matrix, MatrixPool, ParamStore, PoolStash, Tape, TapeStash, Var,
+    collect_grads, Adam, GradEntry, Matrix, MatrixPool, ParamStore, Tape, TapeStash, Var,
 };
 
 use crate::config::{KucNetConfig, SelectorKind};
-use crate::infer::{
-    infer_first_layer, infer_node_logits_pooled, infer_node_logits_resume, ScoreService,
-};
+use crate::infer::{item_scores, FrozenScorer, ScoreService};
 use crate::model::{forward, model_rng, score_logits, KucNetParams};
-use crate::quant::{infer_node_logits_quant, quant_first_layer, QuantizedParams, UserState};
+use crate::quant::UserState;
 
 /// A KUCNet model bound to one CKG (built from a training split).
 pub struct KucNet {
     config: KucNetConfig,
     ckg: Ckg,
     ppr: Option<PprCache>,
-    store: ParamStore,
-    params: KucNetParams,
+    /// The f32 master weights plus their warm inference pools and lazily
+    /// built i8 companion (DESIGN.md §16). Every mutable borrow of the
+    /// weights (training steps, checkpoint loads) drops the companion.
+    scorer: FrozenScorer,
     user_pos: Vec<Vec<ItemId>>,
     adam: Adam,
     /// Drives only the per-epoch user shuffle; all per-user randomness
@@ -48,13 +48,6 @@ pub struct KucNet {
     /// it (and its buffer pool) across every user it processes, so steady-
     /// state training allocates O(1) matrices per user instead of O(ops).
     tape_stash: TapeStash,
-    /// Warm inference pools for the tape-free scoring path, shared the same
-    /// way across evaluation/serving workers.
-    infer_pools: PoolStash,
-    /// The inference-only i8 weight companion (DESIGN.md §16), built lazily
-    /// from the current f32 master weights and dropped whenever they change
-    /// (`train_epoch`, `load_params`). The f32 store stays authoritative.
-    quant: RwLock<Option<Arc<QuantizedParams>>>,
     /// Wall-clock seconds spent in `PprCache::compute` (paper Table VI).
     pub ppr_seconds: f64,
 }
@@ -94,16 +87,13 @@ impl KucNet {
             config,
             ckg,
             ppr,
-            store,
-            params,
+            scorer: FrozenScorer::new(store, params),
             user_pos,
             adam,
             rng,
             epochs_trained: 0,
             infer_cache: RwLock::new(HashMap::new()),
             tape_stash: TapeStash::new(),
-            infer_pools: PoolStash::new(),
-            quant: RwLock::new(None),
             ppr_seconds,
         }
     }
@@ -185,7 +175,8 @@ impl KucNet {
             // Ordered reduction: per-parameter gradient matrices are summed
             // in batch (user) order, so float accumulation order — and thus
             // the Adam step — is independent of the thread count.
-            let mut acc: Vec<Option<Matrix>> = (0..self.store.len()).map(|_| None).collect();
+            let mut acc: Vec<Option<Matrix>> =
+                (0..self.scorer.store().len()).map(|_| None).collect();
             let mut batch_loss = 0.0f64;
             let mut batch_pairs = 0usize;
             for c in contributions {
@@ -208,11 +199,8 @@ impl KucNet {
                 .enumerate()
                 .filter_map(|(id, m)| m.map(|grad| GradEntry { id, grad }))
                 .collect();
-            self.adam.step(&mut self.store, &grads);
+            self.adam.step(self.scorer.store_mut(), &grads);
         }
-
-        // The f32 master weights changed: any i8 companion is now stale.
-        *self.quant.write() = None;
 
         if total_pairs == 0 {
             0.0
@@ -221,35 +209,19 @@ impl KucNet {
         }
     }
 
-    /// The current quantized companion, built on first use from the f32
-    /// master weights and shared until they change. See DESIGN.md §16.
-    fn quantized_params(&self) -> Arc<QuantizedParams> {
-        if let Some(qp) = self.quant.read().as_ref() {
-            return Arc::clone(qp);
-        }
-        let built = Arc::new(QuantizedParams::build(&self.store, &self.params, &self.config));
-        let mut slot = self.quant.write();
-        // A racing builder may have beaten us; keep whichever landed first
-        // so every concurrent scorer shares one companion.
-        if let Some(qp) = slot.as_ref() {
-            return Arc::clone(qp);
-        }
-        *slot = Some(Arc::clone(&built));
-        built
-    }
-
-    /// Maps final-layer node logits to a dense per-item score vector
-    /// (items absent from the final layer score 0, per Algorithm 1).
-    fn logits_to_item_scores(&self, graph: &LayeredGraph, logits: &[f32]) -> Vec<f32> {
-        let mut item_scores = vec![0.0f32; self.ckg.n_items()];
-        if let Some(last) = graph.node_lists.last() {
-            for (pos, &node) in last.iter().enumerate() {
-                if let Some(item) = self.ckg.as_item(node) {
-                    item_scores[item.0 as usize] = logits[pos];
-                }
-            }
-        }
-        item_scores
+    /// Scores every item of the user `graph` was built for (see
+    /// [`FrozenScorer::logits`] for `quantized` and `state`).
+    fn scores(
+        &self,
+        pool: &mut MatrixPool,
+        graph: &LayeredGraph,
+        quantized: bool,
+        state: Option<&UserState>,
+    ) -> Vec<f32> {
+        let logits = self.scorer.logits(pool, &self.config, graph, quantized, state);
+        item_scores(graph, &logits, self.ckg.n_items(), |n| {
+            self.ckg.as_item(n).map(|i| i.0 as usize)
+        })
     }
 
     /// Computes one user's training contribution for `epoch`: BPR pair loss
@@ -279,7 +251,7 @@ impl KucNet {
             }
         }
         let graph = self.build_graph(user, excluded);
-        let (bound, bindings) = self.params.bind(&self.store, tape);
+        let (bound, bindings) = self.scorer.params().bind(self.scorer.store(), tape);
         let out = forward(tape, &bound, &self.config, &graph, Some(&mut rng));
         let scores = score_logits(tape, &bound, out.final_h);
 
@@ -354,15 +326,7 @@ impl KucNet {
     /// [`crate::infer`]). Items absent from the final layer score 0, per
     /// Algorithm 1.
     pub fn score_graph(&self, graph: &LayeredGraph) -> Vec<f32> {
-        let mut pool = self.infer_pools.checkout();
-        self.score_graph_with_pool(&mut pool, graph)
-    }
-
-    /// [`KucNet::score_graph`] drawing intermediates from a caller-held warm
-    /// pool (the zero-allocation batch-scoring path).
-    pub fn score_graph_with_pool(&self, pool: &mut MatrixPool, graph: &LayeredGraph) -> Vec<f32> {
-        let logits = infer_node_logits_pooled(pool, &self.store, &self.params, &self.config, graph);
-        self.logits_to_item_scores(graph, &logits)
+        self.scores(&mut self.scorer.pool(), graph, false, None)
     }
 
     /// Number of edges in the pruned inference graph of `user`
@@ -378,7 +342,7 @@ impl KucNet {
         &self,
         path: impl AsRef<std::path::Path>,
     ) -> Result<(), kucnet_tensor::CheckpointError> {
-        self.store.save(path)
+        self.scorer.store().save(path)
     }
 
     /// Restores parameters from a checkpoint produced by
@@ -392,33 +356,32 @@ impl KucNet {
         path: impl AsRef<std::path::Path>,
     ) -> Result<(), kucnet_tensor::CheckpointError> {
         let loaded = ParamStore::load(path)?;
-        if loaded.len() != self.store.len() {
+        if loaded.len() != self.scorer.store().len() {
             return Err(kucnet_tensor::CheckpointError::Format(format!(
                 "parameter count mismatch: checkpoint has {}, model has {}",
                 loaded.len(),
-                self.store.len()
+                self.scorer.store().len()
             )));
         }
-        for (name, id) in self.store.names() {
+        for (name, id) in self.scorer.store().names() {
             let src = loaded.id(name).ok_or_else(|| {
                 kucnet_tensor::CheckpointError::Format(format!("missing parameter {name}"))
             })?;
-            if loaded.value(src).shape() != self.store.value(id).shape() {
+            if loaded.value(src).shape() != self.scorer.store().value(id).shape() {
                 return Err(kucnet_tensor::CheckpointError::Format(format!(
                     "shape mismatch for {name}"
                 )));
             }
         }
-        self.store = loaded;
-        // New master weights: drop the stale i8 companion (rebuilt lazily).
-        *self.quant.write() = None;
+        // Replacing the master weights drops the stale i8 companion.
+        *self.scorer.store_mut() = loaded;
         Ok(())
     }
 
     /// Binds the trained parameters as constants onto `tape` (used by the
     /// per-pair `KUCNet-UI` scoring path).
     pub fn params_frozen(&self, tape: &Tape) -> crate::model::BoundParams {
-        self.params.bind_frozen(&self.store, tape)
+        self.scorer.params().bind_frozen(self.scorer.store(), tape)
     }
 
     /// Attention weights and graph for explanation (Figure 7); see
@@ -434,7 +397,7 @@ impl KucNet {
     /// model did not build itself (e.g. a pinned dynamic snapshot).
     pub fn attention_on(&self, graph: &LayeredGraph) -> Vec<Vec<f32>> {
         let tape = self.tape_stash.checkout();
-        let bound = self.params.bind_frozen(&self.store, &tape);
+        let bound = self.scorer.params().bind_frozen(self.scorer.store(), &tape);
         let out = forward(&tape, &bound, &self.config, graph, None);
         out.attention
     }
@@ -453,7 +416,7 @@ impl Recommender for KucNet {
     }
 
     fn num_params(&self) -> usize {
-        self.store.num_scalars()
+        self.scorer.store().num_scalars()
     }
 }
 
@@ -482,7 +445,7 @@ impl ScoreService for KucNet {
     }
 
     fn score_graph_pooled(&self, pool: &mut MatrixPool, graph: &LayeredGraph) -> Vec<f32> {
-        self.score_graph_with_pool(pool, graph)
+        self.scores(pool, graph, false, None)
     }
 
     fn supports_quantized(&self) -> bool {
@@ -490,14 +453,12 @@ impl ScoreService for KucNet {
     }
 
     fn prepare_quantized(&self) -> bool {
-        let _ = self.quantized_params();
+        let _ = self.scorer.quantized_params();
         true
     }
 
     fn score_graph_quant_pooled(&self, pool: &mut MatrixPool, graph: &LayeredGraph) -> Vec<f32> {
-        let qp = self.quantized_params();
-        let logits = infer_node_logits_quant(pool, &qp, &self.config, graph, None);
-        self.logits_to_item_scores(graph, &logits)
+        self.scores(pool, graph, true, None)
     }
 
     fn build_user_state(
@@ -506,16 +467,7 @@ impl ScoreService for KucNet {
         graph: &LayeredGraph,
         quantized: bool,
     ) -> Option<Arc<UserState>> {
-        if graph.layers.is_empty() {
-            return None;
-        }
-        let h1 = if quantized {
-            let qp = self.quantized_params();
-            quant_first_layer(pool, &qp, &self.config, graph)
-        } else {
-            infer_first_layer(pool, &self.store, &self.params, &self.config, graph)
-        };
-        Some(Arc::new(UserState::new(quantized, h1)))
+        self.scorer.user_state(pool, &self.config, graph, quantized)
     }
 
     fn score_graph_from_state(
@@ -524,20 +476,7 @@ impl ScoreService for KucNet {
         graph: &LayeredGraph,
         state: &UserState,
     ) -> Vec<f32> {
-        let logits = if state.quantized() {
-            let qp = self.quantized_params();
-            infer_node_logits_quant(pool, &qp, &self.config, graph, Some(state.h1()))
-        } else {
-            infer_node_logits_resume(
-                pool,
-                &self.store,
-                &self.params,
-                &self.config,
-                graph,
-                state.h1(),
-            )
-        };
-        self.logits_to_item_scores(graph, &logits)
+        self.scores(pool, graph, state.quantized(), Some(state))
     }
 
     fn explain_item(
@@ -662,7 +601,7 @@ mod tests {
             };
             let (mut model, _) = tiny_model(config);
             let losses = model.fit();
-            let w = model.store.value(model.params.final_w).data().to_vec();
+            let w = model.scorer.store().value(model.scorer.params().final_w).data().to_vec();
             (losses, w)
         };
         let (loss1, w1) = run(1);

@@ -41,15 +41,13 @@ mod variants;
 pub use config::{Activation, AggregationNorm, KucNetConfig, SelectorKind};
 pub use explain::{explain, explain_on, ExplainedEdge, Explanation};
 pub use infer::{
-    infer_first_layer, infer_node_logits, infer_node_logits_resume, ExplainOutput, GraphContext,
-    ScoreService, StaticGraphContext,
+    first_layer, node_logits, ExplainOutput, GraphContext, ScoreService, StaticGraphContext,
+    Weights,
 };
 pub use kucnet::KucNet;
 pub use model::{
     forward, score_logits, BoundLayer, BoundParams, ForwardOutput, KucNetParams, LayerParamIds,
 };
-pub use quant::{
-    infer_node_logits_quant, quant_first_layer, QuantLayer, QuantizedParams, UserState,
-};
+pub use quant::{QuantLayer, QuantizedParams, UserState};
 pub use sharded::ShardService;
 pub use variants::{score_items_pairwise, score_pair, ui_comparison_config, PairScore};

@@ -26,7 +26,7 @@ use kucnet_tensor::{
     MatrixPool, ParamStore, QuantMatrix,
 };
 
-use crate::config::{Activation, AggregationNorm, KucNetConfig};
+use crate::config::{AggregationNorm, KucNetConfig};
 use crate::model::KucNetParams;
 
 /// One layer's quantized companion: transposed-quantized projections plus
@@ -70,7 +70,7 @@ pub struct QuantizedParams {
 impl QuantizedParams {
     /// Quantizes every layer's projections and precomputes the relation
     /// tables from the current values in `store`.
-    pub fn build(store: &ParamStore, params: &KucNetParams, _config: &KucNetConfig) -> Self {
+    pub fn build(store: &ParamStore, params: &KucNetParams) -> Self {
         let layers = params
             .layers
             .iter()
@@ -108,6 +108,11 @@ impl QuantizedParams {
     /// Per-layer quantized companions.
     pub fn layers(&self) -> &[QuantLayer] {
         &self.layers
+    }
+
+    /// The readout vector `w` of Eq. 7 (exact f32 copy).
+    pub(crate) fn final_w(&self) -> &Matrix {
+        &self.final_w
     }
 
     /// Approximate heap footprint in bytes.
@@ -159,24 +164,20 @@ impl UserState {
     }
 }
 
-/// One quantized propagation layer: node-level quantized matmuls, then a
-/// single fused streaming pass over the edges. Consumes (and releases) `h`.
-fn quant_propagate_layer(
+/// The i8 message aggregation of layer `l` (the quantized half of
+/// [`crate::infer`]'s layer driver): node-level two-digit quantized
+/// matmuls, then a single fused streaming pass over the edges.
+pub(crate) fn aggregate_i8(
     pool: &mut MatrixPool,
     qp: &QuantizedParams,
     config: &KucNetConfig,
     graph: &LayeredGraph,
     l: usize,
     scratch: &mut (Vec<i8>, Vec<i8>),
-    h: Matrix,
+    h: &Matrix,
 ) -> Matrix {
     let d = config.dim;
     let layer = &graph.layers[l];
-    let out_rows = graph.node_lists[l + 1].len();
-    if layer.n_edges() == 0 {
-        pool.release_matrix(h);
-        return pool.matrix_zeroed(out_rows, d);
-    }
     let e = layer.n_edges();
     let ql = &qp.layers[l];
     let n = h.rows();
@@ -184,7 +185,7 @@ fn quant_propagate_layer(
     // two i8 digits per operand for rank-parity headroom.
     let mut node_msg = pool.matrix_raw(n, d);
     let (row_hi, row_lo) = scratch;
-    quant2_matmul_into(&h, &ql.w_t, &ql.w_t_lo, row_hi, row_lo, &mut node_msg);
+    quant2_matmul_into(h, &ql.w_t, &ql.w_t_lo, row_hi, row_lo, &mut node_msg);
     // Per-edge scale: attention α, out-degree normalization, or both.
     let mut scale: Option<Matrix> = None;
     if config.attention {
@@ -226,7 +227,7 @@ fn quant_propagate_layer(
         pool.release(outdeg);
     }
     // Fused per-edge gather + add + scale + scatter: no E×d intermediates.
-    let mut agg = pool.matrix_zeroed(out_rows, d);
+    let mut agg = pool.matrix_zeroed(graph.node_lists[l + 1].len(), d);
     fused_gather_add_scale_scatter_into(
         &node_msg,
         &layer.src_pos,
@@ -240,97 +241,14 @@ fn quant_propagate_layer(
     if let Some(s) = scale {
         pool.release_matrix(s);
     }
-    if config.agg_norm == AggregationNorm::MeanIn {
-        let mut indeg = pool.acquire_zeroed(out_rows);
-        for &dst in &layer.dst_pos {
-            indeg[dst as usize] += 1.0;
-        }
-        for (r, &c) in indeg.iter().enumerate() {
-            if c > 0.0 {
-                let inv = 1.0 / c;
-                for x in agg.row_mut(r) {
-                    *x *= inv;
-                }
-            } else {
-                for x in agg.row_mut(r) {
-                    *x = 0.0;
-                }
-            }
-        }
-        pool.release(indeg);
-    }
-    match config.activation {
-        Activation::Identity => {}
-        Activation::Tanh => {
-            for x in agg.data_mut() {
-                *x = x.tanh();
-            }
-        }
-        Activation::Relu => {
-            for x in agg.data_mut() {
-                *x = x.max(0.0);
-            }
-        }
-    }
-    pool.release_matrix(h);
     agg
-}
-
-/// The quantized layer-1 propagation `h¹` (see
-/// [`infer_first_layer`](crate::infer_first_layer) for the f32 twin).
-pub fn quant_first_layer(
-    pool: &mut MatrixPool,
-    qp: &QuantizedParams,
-    config: &KucNetConfig,
-    graph: &LayeredGraph,
-) -> Matrix {
-    assert_eq!(qp.layers.len(), graph.depth(), "depth mismatch");
-    assert!(!graph.layers.is_empty(), "cannot precompute layer 1 of a depth-0 graph");
-    let mut scratch = (Vec::new(), Vec::new());
-    let h0 = pool.matrix_zeroed(1, config.dim);
-    quant_propagate_layer(pool, qp, config, graph, 0, &mut scratch, h0)
-}
-
-/// The full quantized forward: per-node logits over `graph`'s final layer.
-/// With `resume = Some(h¹)` the pass starts at layer 2 from the precomputed
-/// state — bitwise identical to the full quantized pass, because both run
-/// the same per-layer code on the same deterministic inputs.
-pub fn infer_node_logits_quant(
-    pool: &mut MatrixPool,
-    qp: &QuantizedParams,
-    config: &KucNetConfig,
-    graph: &LayeredGraph,
-    resume: Option<&Matrix>,
-) -> Vec<f32> {
-    assert_eq!(qp.layers.len(), graph.depth(), "depth mismatch");
-    let mut scratch = (Vec::new(), Vec::new());
-    let (mut h, start) = match resume {
-        Some(h1) => {
-            assert!(!graph.layers.is_empty(), "cannot resume a depth-0 graph");
-            assert_eq!(
-                h1.rows(),
-                graph.node_lists[1].len(),
-                "stale user state: layer-1 row mismatch"
-            );
-            (pool.matrix_copy(h1), 1)
-        }
-        None => (pool.matrix_zeroed(1, config.dim), 0),
-    };
-    for l in start..graph.layers.len() {
-        h = quant_propagate_layer(pool, qp, config, graph, l, &mut scratch, h);
-    }
-    let mut out = pool.matrix_raw(h.rows(), 1);
-    h.matmul_into(&qp.final_w, &mut out);
-    let logits = out.data().to_vec();
-    pool.release_matrix(h);
-    pool.release_matrix(out);
-    logits
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::infer::{infer_first_layer, infer_node_logits_pooled, infer_node_logits_resume};
+    use crate::config::Activation;
+    use crate::infer::{first_layer, node_logits, Weights};
     use crate::model::model_rng;
     use kucnet_datasets::{DatasetProfile, GeneratedDataset};
     use kucnet_graph::UserId;
@@ -391,10 +309,10 @@ mod tests {
             let mut pool = MatrixPool::new();
             for u in 0..4u32 {
                 let graph = user_graph(&ckg, &config, u);
-                let full = infer_node_logits_pooled(&mut pool, &store, &params, &config, &graph);
-                let h1 = infer_first_layer(&mut pool, &store, &params, &config, &graph);
-                let resumed =
-                    infer_node_logits_resume(&mut pool, &store, &params, &config, &graph, &h1);
+                let f32 = Weights::F32(&store, &params);
+                let full = node_logits(&mut pool, f32, &config, &graph, None);
+                let h1 = first_layer(&mut pool, f32, &config, &graph);
+                let resumed = node_logits(&mut pool, f32, &config, &graph, Some(&h1));
                 assert_eq!(full, resumed, "resume diverged (user {u}, {config:?})");
                 pool.release_matrix(h1);
             }
@@ -405,13 +323,13 @@ mod tests {
     fn quant_resume_is_bitwise_identical_to_full_quant_pass() {
         let config = KucNetConfig::default();
         let (store, params, ckg) = setup(&config);
-        let qp = QuantizedParams::build(&store, &params, &config);
+        let qp = QuantizedParams::build(&store, &params);
         let mut pool = MatrixPool::new();
         for u in 0..4u32 {
             let graph = user_graph(&ckg, &config, u);
-            let full = infer_node_logits_quant(&mut pool, &qp, &config, &graph, None);
-            let h1 = quant_first_layer(&mut pool, &qp, &config, &graph);
-            let resumed = infer_node_logits_quant(&mut pool, &qp, &config, &graph, Some(&h1));
+            let full = node_logits(&mut pool, Weights::I8(&qp), &config, &graph, None);
+            let h1 = first_layer(&mut pool, Weights::I8(&qp), &config, &graph);
+            let resumed = node_logits(&mut pool, Weights::I8(&qp), &config, &graph, Some(&h1));
             assert_eq!(full, resumed, "quant resume diverged (user {u})");
             pool.release_matrix(h1);
         }
@@ -429,13 +347,14 @@ mod tests {
             },
         ] {
             let (store, params, ckg) = setup(&config);
-            let qp = QuantizedParams::build(&store, &params, &config);
+            let qp = QuantizedParams::build(&store, &params);
             let mut pool = MatrixPool::new();
             let mut worst = 1.0f64;
             for u in 0..6u32 {
                 let graph = user_graph(&ckg, &config, u);
-                let exact = infer_node_logits_pooled(&mut pool, &store, &params, &config, &graph);
-                let quant = infer_node_logits_quant(&mut pool, &qp, &config, &graph, None);
+                let exact =
+                    node_logits(&mut pool, Weights::F32(&store, &params), &config, &graph, None);
+                let quant = node_logits(&mut pool, Weights::I8(&qp), &config, &graph, None);
                 assert_eq!(exact.len(), quant.len());
                 if exact.len() >= 10 {
                     worst = worst.min(overlap_at(&exact, &quant, 10));
@@ -456,10 +375,11 @@ mod tests {
         let (store, params, ckg) = setup(&config);
         let mut pool = MatrixPool::new();
         let graph = user_graph(&ckg, &config, 0);
-        let before = infer_node_logits_pooled(&mut pool, &store, &params, &config, &graph);
-        let qp = QuantizedParams::build(&store, &params, &config);
+        let f32 = Weights::F32(&store, &params);
+        let before = node_logits(&mut pool, f32, &config, &graph, None);
+        let qp = QuantizedParams::build(&store, &params);
         assert!(qp.approx_bytes() > 0);
-        let after = infer_node_logits_pooled(&mut pool, &store, &params, &config, &graph);
+        let after = node_logits(&mut pool, f32, &config, &graph, None);
         let b_bits: Vec<u32> = before.iter().map(|x| x.to_bits()).collect();
         let a_bits: Vec<u32> = after.iter().map(|x| x.to_bits()).collect();
         assert_eq!(b_bits, a_bits, "building the i8 companion perturbed the f32 path");

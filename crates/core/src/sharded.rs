@@ -16,21 +16,17 @@
 
 use std::sync::Arc;
 
-use parking_lot::RwLock;
-
 use kucnet_graph::{
     build_layered_graph, KeepAll, Layer, LayeredGraph, LayeringOptions, NodeId, Segment,
     SegmentLayout, ShardedCkg, UserId,
 };
 use kucnet_ppr::{sparse_ppr, PprConfig, PprTopK, RandomK};
-use kucnet_tensor::{MatrixPool, ParamStore, PoolStash};
+use kucnet_tensor::{MatrixPool, ParamStore};
 
 use crate::config::{KucNetConfig, SelectorKind};
-use crate::infer::{
-    infer_first_layer, infer_node_logits_pooled, infer_node_logits_resume, ScoreService,
-};
+use crate::infer::{item_scores, FrozenScorer, ScoreService};
 use crate::model::{model_rng, KucNetParams};
-use crate::quant::{infer_node_logits_quant, quant_first_layer, QuantizedParams, UserState};
+use crate::quant::UserState;
 
 /// How many sparse PPR entries a lazy per-request computation keeps. Must
 /// equal the literal the eager [`kucnet_ppr::PprCache`] path in
@@ -45,11 +41,8 @@ pub struct ShardService {
     segments: Vec<Arc<Segment>>,
     /// `(user id, index into segments)`, sorted by user id.
     user_index: Vec<(u32, u32)>,
-    store: ParamStore,
-    params: KucNetParams,
-    infer_pools: PoolStash,
-    /// Lazily-built i8 companion of the shared f32 weights (DESIGN.md §16).
-    quant: RwLock<Option<Arc<QuantizedParams>>>,
+    /// The shared frozen weights, their warm pools and i8 companion.
+    scorer: FrozenScorer,
     shard: usize,
 }
 
@@ -97,10 +90,7 @@ impl ShardService {
             layout,
             segments,
             user_index,
-            store,
-            params,
-            infer_pools: PoolStash::new(),
-            quant: RwLock::new(None),
+            scorer: FrozenScorer::new(store, params),
             shard,
         }
     }
@@ -191,33 +181,19 @@ impl ShardService {
         }
     }
 
-    /// The current quantized companion, built on first use (same lazy
-    /// publish-once protocol as [`crate::KucNet`]).
-    fn quantized_params(&self) -> Arc<QuantizedParams> {
-        if let Some(qp) = self.quant.read().as_ref() {
-            return Arc::clone(qp);
-        }
-        let built = Arc::new(QuantizedParams::build(&self.store, &self.params, &self.config));
-        let mut slot = self.quant.write();
-        if let Some(qp) = slot.as_ref() {
-            return Arc::clone(qp);
-        }
-        *slot = Some(Arc::clone(&built));
-        built
-    }
-
-    /// Maps final-layer node logits to dense per-item scores using the
-    /// global layout (items absent from the final layer score 0).
-    fn logits_to_item_scores(&self, graph: &LayeredGraph, logits: &[f32]) -> Vec<f32> {
-        let mut item_scores = vec![0.0f32; self.layout.n_items as usize];
-        if let Some(last) = graph.node_lists.last() {
-            for (pos, &node) in last.iter().enumerate() {
-                if let Some(item) = self.layout.item_index(node) {
-                    item_scores[item as usize] = logits[pos];
-                }
-            }
-        }
-        item_scores
+    /// Scores every item of the user `graph` was built for, mapping nodes
+    /// to items through the global layout.
+    fn scores(
+        &self,
+        pool: &mut MatrixPool,
+        graph: &LayeredGraph,
+        quantized: bool,
+        state: Option<&UserState>,
+    ) -> Vec<f32> {
+        let logits = self.scorer.logits(pool, &self.config, graph, quantized, state);
+        item_scores(graph, &logits, self.layout.n_items as usize, |n| {
+            self.layout.item_index(n).map(|i| i as usize)
+        })
     }
 }
 
@@ -239,13 +215,11 @@ impl ScoreService for ShardService {
     }
 
     fn score_graph(&self, graph: &LayeredGraph) -> Vec<f32> {
-        let mut pool = self.infer_pools.checkout();
-        self.score_graph_pooled(&mut pool, graph)
+        self.scores(&mut self.scorer.pool(), graph, false, None)
     }
 
     fn score_graph_pooled(&self, pool: &mut MatrixPool, graph: &LayeredGraph) -> Vec<f32> {
-        let logits = infer_node_logits_pooled(pool, &self.store, &self.params, &self.config, graph);
-        self.logits_to_item_scores(graph, &logits)
+        self.scores(pool, graph, false, None)
     }
 
     fn supports_quantized(&self) -> bool {
@@ -253,14 +227,12 @@ impl ScoreService for ShardService {
     }
 
     fn prepare_quantized(&self) -> bool {
-        let _ = self.quantized_params();
+        let _ = self.scorer.quantized_params();
         true
     }
 
     fn score_graph_quant_pooled(&self, pool: &mut MatrixPool, graph: &LayeredGraph) -> Vec<f32> {
-        let qp = self.quantized_params();
-        let logits = infer_node_logits_quant(pool, &qp, &self.config, graph, None);
-        self.logits_to_item_scores(graph, &logits)
+        self.scores(pool, graph, true, None)
     }
 
     fn build_user_state(
@@ -269,17 +241,7 @@ impl ScoreService for ShardService {
         graph: &LayeredGraph,
         quantized: bool,
     ) -> Option<Arc<UserState>> {
-        // Edge-free graphs (unknown users) have nothing worth precomputing.
-        if graph.layers.is_empty() || graph.node_lists.len() < 2 || graph.node_lists[1].is_empty() {
-            return None;
-        }
-        let h1 = if quantized {
-            let qp = self.quantized_params();
-            quant_first_layer(pool, &qp, &self.config, graph)
-        } else {
-            infer_first_layer(pool, &self.store, &self.params, &self.config, graph)
-        };
-        Some(Arc::new(UserState::new(quantized, h1)))
+        self.scorer.user_state(pool, &self.config, graph, quantized)
     }
 
     fn score_graph_from_state(
@@ -288,20 +250,7 @@ impl ScoreService for ShardService {
         graph: &LayeredGraph,
         state: &UserState,
     ) -> Vec<f32> {
-        let logits = if state.quantized() {
-            let qp = self.quantized_params();
-            infer_node_logits_quant(pool, &qp, &self.config, graph, Some(state.h1()))
-        } else {
-            infer_node_logits_resume(
-                pool,
-                &self.store,
-                &self.params,
-                &self.config,
-                graph,
-                state.h1(),
-            )
-        };
-        self.logits_to_item_scores(graph, &logits)
+        self.scores(pool, graph, state.quantized(), Some(state))
     }
 }
 
@@ -327,12 +276,25 @@ mod tests {
             let services: Vec<ShardService> = (0..sharded.n_shards())
                 .map(|s| ShardService::for_shard(config.clone(), &sharded, s))
                 .collect();
+            let mut pool = MatrixPool::default();
             for u in 0..model.n_users() {
                 let user = UserId(kucnet_graph::index_u32(u, "user id"));
                 let svc = &services[shard_of(user.0, sharded.n_shards())];
                 let reference = ScoreService::score_user(&model, user);
                 let sharded_scores = svc.score_user(user);
                 assert_eq!(reference, sharded_scores, "{selector:?} user {u} diverged");
+                // The i8 path crosses the shard boundary bitwise too: both
+                // sides quantize identical weights and score identical graphs.
+                let quant_reference =
+                    model.score_graph_quant_pooled(&mut pool, &model.build_user_graph(user));
+                let quant_sharded =
+                    svc.score_graph_quant_pooled(&mut pool, &svc.build_user_graph(user));
+                let bits = |s: &[f32]| s.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&quant_reference),
+                    bits(&quant_sharded),
+                    "{selector:?} user {u}: i8 scores diverged across the shard boundary"
+                );
             }
         }
     }
@@ -359,10 +321,17 @@ mod tests {
                 continue;
             }
             let graph = svc.build_user_graph(user);
-            let cold = svc.score_graph_pooled(&mut pool, &graph);
-            if let Some(state) = svc.build_user_state(&mut pool, &graph, false) {
-                let warm = svc.score_graph_from_state(&mut pool, &graph, &state);
-                assert_eq!(cold, warm, "warm path diverged for user {u}");
+            for quantized in [false, true] {
+                let cold = if quantized {
+                    svc.score_graph_quant_pooled(&mut pool, &graph)
+                } else {
+                    svc.score_graph_pooled(&mut pool, &graph)
+                };
+                if let Some(state) = svc.build_user_state(&mut pool, &graph, quantized) {
+                    assert_eq!(state.quantized(), quantized);
+                    let warm = svc.score_graph_from_state(&mut pool, &graph, &state);
+                    assert_eq!(cold, warm, "warm path diverged for user {u} (i8: {quantized})");
+                }
             }
         }
     }

@@ -109,7 +109,7 @@ impl ScoreService for DynamicService {
     }
 
     fn score_graph_pooled(&self, pool: &mut MatrixPool, graph: &LayeredGraph) -> Vec<f32> {
-        self.model.score_graph_with_pool(pool, graph)
+        self.model.score_graph_pooled(pool, graph)
     }
 
     fn graph_context(&self) -> Box<dyn GraphContext + '_> {

@@ -113,8 +113,8 @@ pub struct SubgraphCache {
 /// panic.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Total lookups ([`SubgraphCache::get`] calls plus
-    /// [`SubgraphCache::get_or_insert_with`] calls).
+    /// Total lookups ([`SubgraphCache::get_or_insert_context_versioned`]
+    /// calls).
     pub lookups: u64,
     /// Lookups served from a resident entry (including lost build races,
     /// which are served from the winner's entry).
@@ -194,39 +194,6 @@ impl SubgraphCache {
         }
     }
 
-    /// Looks up the subgraph of `user`, counting a hit or miss. Version
-    /// agnostic: returns whatever is resident.
-    pub fn get(&self, user: UserId) -> Option<Arc<LayeredGraph>> {
-        saturating_inc(&self.lookups);
-        let mut inner = self.inner.lock();
-        match Self::probe(&mut inner, user) {
-            Some(((graph, _), _)) => {
-                saturating_inc(&self.hits);
-                Some(graph)
-            }
-            None => {
-                saturating_inc(&self.misses);
-                None
-            }
-        }
-    }
-
-    /// Inserts (or refreshes) the subgraph of `user` at the default stamp
-    /// (model 0, graph 0), evicting the least recently used entry if the
-    /// cache is over capacity.
-    pub fn insert(&self, user: UserId, graph: Arc<LayeredGraph>) {
-        self.insert_versioned(user, CacheVersion::default(), graph);
-    }
-
-    /// Inserts (or refreshes) the subgraph of `user` stamped with `version`.
-    pub fn insert_versioned(&self, user: UserId, version: CacheVersion, graph: Arc<LayeredGraph>) {
-        let mut inner = self.inner.lock();
-        inner.tick = inner.tick.saturating_add(1);
-        let tick = inner.tick;
-        inner.map.insert(user.0, Entry { graph, state: None, version, last_used: tick });
-        self.evict_over_capacity(&mut inner);
-    }
-
     /// Drops the resident entry of `user`, if any, counting an invalidation
     /// when something was actually dropped. Called eagerly after a refresh
     /// tick for users whose subgraph changed; not a lookup, so the
@@ -239,77 +206,31 @@ impl SubgraphCache {
         removed
     }
 
-    /// Returns the cached subgraph of `user`, building and inserting it via
-    /// `build` on a miss. The build runs outside the cache lock so slow
-    /// pruning never blocks hits for other users; if two threads race on
-    /// the same cold user, the first inserted graph wins and both get the
-    /// same handle.
+    /// The cache's one lookup path: returns the resident context of `user`
+    /// (subgraph plus optional precomputed [`UserState`]) and whether the
+    /// lookup was a hit, building and inserting it via `build` on a miss.
     ///
-    /// Counter semantics (one count per call, so `hits + misses ==
-    /// lookups` always holds):
+    /// A resident entry only counts as a hit when its stamp equals
+    /// `version` (both the model and graph components). A stale entry (any
+    /// other stamp) is dropped under the lock, counting an
+    /// **invalidation**, and the lookup proceeds as a miss; when the
+    /// rebuild lands it additionally counts as **patched** (a lazy in-place
+    /// version upgrade). The subgraph and its state share one stamp, so the
+    /// state can never outlive the subgraph it was derived from (or vice
+    /// versa) across a model swap, precision toggle, or dynamic-graph tick.
     ///
-    /// - resident on first probe → **hit**;
-    /// - built and inserted → **miss**;
-    /// - lost race (another thread inserted while this one built; the
-    ///   discarded build is not separately counted) → **hit**, and the
-    ///   *resident* handle is returned so racers agree on the graph;
+    /// The build runs outside the cache lock so slow pruning never blocks
+    /// hits for other users; if two threads race on the same cold user, the
+    /// first inserted context wins and both get the same handle. Counter
+    /// semantics (one count per call, so `hits + misses == lookups` always
+    /// holds, also under concurrent invalidation and racing version bumps):
+    ///
+    /// - resident at `version` on first probe → **hit** (`true`);
+    /// - built and inserted → **miss** (`false`);
+    /// - lost race (another thread inserted at `version` while this one
+    ///   built; the discarded build is not separately counted) → **hit**,
+    ///   and the *resident* context is returned so racers agree on it;
     /// - `build` panicked → **miss**, then the panic is re-raised.
-    pub fn get_or_insert_with(
-        &self,
-        user: UserId,
-        build: impl FnOnce() -> Arc<LayeredGraph>,
-    ) -> Arc<LayeredGraph> {
-        self.get_or_insert_versioned(user, CacheVersion::default(), build)
-    }
-
-    /// Version-aware variant of [`get_or_insert_with`]: a resident entry
-    /// only counts as a hit when its stamp equals `version` (both the model
-    /// and graph components). A stale entry (any other stamp) is dropped
-    /// under the lock — counting an **invalidation** — and the lookup
-    /// proceeds as a miss; when the rebuild lands it additionally counts as
-    /// **patched** (a lazy in-place version upgrade). Every call still
-    /// resolves as exactly one hit or one miss, so `hits + misses ==
-    /// lookups` holds under concurrent invalidation and racing version
-    /// bumps.
-    ///
-    /// [`get_or_insert_with`]: SubgraphCache::get_or_insert_with
-    pub fn get_or_insert_versioned(
-        &self,
-        user: UserId,
-        version: CacheVersion,
-        build: impl FnOnce() -> Arc<LayeredGraph>,
-    ) -> Arc<LayeredGraph> {
-        self.get_or_insert_versioned_traced(user, version, build).0
-    }
-
-    /// [`get_or_insert_versioned`] that additionally reports whether the
-    /// lookup resolved as a hit (`true`) or had to build (`false`) — the
-    /// per-variant hit/miss attribution the model registry records. The
-    /// flag mirrors the global counters exactly: lost build races report
-    /// `true` (served from the winner's entry), panicking builds report
-    /// nothing because the panic propagates after the miss is counted.
-    ///
-    /// [`get_or_insert_versioned`]: SubgraphCache::get_or_insert_versioned
-    pub fn get_or_insert_versioned_traced(
-        &self,
-        user: UserId,
-        version: CacheVersion,
-        build: impl FnOnce() -> Arc<LayeredGraph>,
-    ) -> (Arc<LayeredGraph>, bool) {
-        let ((graph, _), hit) =
-            self.get_or_insert_context_versioned(user, version, || (build(), None));
-        (graph, hit)
-    }
-
-    /// The full fill path: like [`get_or_insert_versioned_traced`] but the
-    /// build closure returns the subgraph *plus* an optional precomputed
-    /// [`UserState`], and a hit hands both back. The pair is stored under
-    /// one stamp, so the state can never outlive the subgraph it was
-    /// derived from (or vice versa) across a model swap, precision toggle,
-    /// or dynamic-graph tick. Counter semantics are identical — the state
-    /// is payload, not a separately accounted object.
-    ///
-    /// [`get_or_insert_versioned_traced`]: SubgraphCache::get_or_insert_versioned_traced
     pub fn get_or_insert_context_versioned(
         &self,
         user: UserId,
@@ -419,12 +340,33 @@ mod tests {
         })
     }
 
+    /// A graph-only lookup through the cache's one entry point.
+    fn lookup(
+        cache: &SubgraphCache,
+        user: u32,
+        version: CacheVersion,
+        build: impl FnOnce() -> Arc<LayeredGraph>,
+    ) -> (Arc<LayeredGraph>, bool) {
+        let ((graph, _), hit) =
+            cache.get_or_insert_context_versioned(UserId(user), version, || (build(), None));
+        (graph, hit)
+    }
+
+    /// A graph-only lookup at the default stamp.
+    fn fill(cache: &SubgraphCache, user: u32) -> bool {
+        lookup(cache, user, CacheVersion::default(), || tiny_graph(user)).1
+    }
+
+    /// Residency without a lookup (no counter or LRU side effects).
+    fn resident(cache: &SubgraphCache, user: u32) -> bool {
+        cache.inner.lock().map.contains_key(&user)
+    }
+
     #[test]
     fn miss_then_hit_counts() {
         let cache = SubgraphCache::new(4);
-        assert!(cache.get(UserId(1)).is_none());
-        cache.insert(UserId(1), tiny_graph(1));
-        assert!(cache.get(UserId(1)).is_some());
+        assert!(!fill(&cache, 1), "cold lookup is a miss");
+        assert!(fill(&cache, 1), "resident lookup is a hit");
         let stats = cache.stats();
         assert_eq!((stats.lookups, stats.hits, stats.misses), (2, 1, 1));
         assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
@@ -433,15 +375,15 @@ mod tests {
     #[test]
     fn capacity_evicts_least_recently_used() {
         let cache = SubgraphCache::new(2);
-        cache.insert(UserId(1), tiny_graph(1));
-        cache.insert(UserId(2), tiny_graph(2));
+        fill(&cache, 1);
+        fill(&cache, 2);
         // Touch user 1 so user 2 becomes the LRU victim.
-        assert!(cache.get(UserId(1)).is_some());
-        cache.insert(UserId(3), tiny_graph(3));
+        assert!(fill(&cache, 1));
+        fill(&cache, 3);
         assert_eq!(cache.len(), 2);
-        assert!(cache.get(UserId(2)).is_none(), "LRU entry must be evicted");
-        assert!(cache.get(UserId(1)).is_some());
-        assert!(cache.get(UserId(3)).is_some());
+        assert!(!resident(&cache, 2), "LRU entry must be evicted");
+        assert!(resident(&cache, 1));
+        assert!(resident(&cache, 3));
         assert_eq!(cache.stats().evictions, 1);
     }
 
@@ -450,7 +392,7 @@ mod tests {
         let cache = SubgraphCache::new(4);
         let mut builds = 0usize;
         for _ in 0..3 {
-            let g = cache.get_or_insert_with(UserId(7), || {
+            let (g, _) = lookup(&cache, 7, CacheVersion::default(), || {
                 builds += 1;
                 tiny_graph(7)
             });
@@ -466,67 +408,70 @@ mod tests {
         // Regression: the loser of a build race used to count a miss for
         // its discarded build and no hit for the resident handle it was
         // actually served, skewing hit_rate downward under concurrency.
-        // The race is simulated by a build that inserts the "winner's"
-        // entry re-entrantly before returning the loser's build.
+        // The race is simulated by a build that runs the winner's lookup
+        // re-entrantly before returning the loser's build.
         let cache = SubgraphCache::new(4);
-        let got = cache.get_or_insert_with(UserId(7), || {
-            cache.insert(UserId(7), tiny_graph(42)); // another thread wins
+        let v = CacheVersion::default();
+        let (got, hit) = lookup(&cache, 7, v, || {
+            lookup(&cache, 7, v, || tiny_graph(42)); // another thread wins
             tiny_graph(7) // the loser's build, to be discarded
         });
         assert_eq!(got.root, NodeId(42), "racers must agree on the resident graph");
+        assert!(hit, "the loser is served from the winner's entry");
         let stats = cache.stats();
         assert_eq!(
             (stats.lookups, stats.hits, stats.misses),
-            (1, 1, 0),
-            "a lost race is one lookup served from cache: {stats:?}"
+            (2, 1, 1),
+            "the winner's build is the only miss; the loser is one lookup served from cache: \
+             {stats:?}"
         );
     }
 
     #[test]
     fn counters_balance_under_builds_races_and_panics() {
         let cache = SubgraphCache::new(4);
+        let v = CacheVersion::default();
         // 1: plain miss (builds and inserts).
-        cache.get_or_insert_with(UserId(1), || tiny_graph(1));
+        lookup(&cache, 1, v, || tiny_graph(1));
         // 2: plain hit.
-        cache.get_or_insert_with(UserId(1), || unreachable!("resident"));
-        // 3: lost race → hit.
-        cache.get_or_insert_with(UserId(2), || {
-            cache.insert(UserId(2), tiny_graph(2));
+        lookup(&cache, 1, v, || unreachable!("resident"));
+        // 3+4: the winner's miss, then the lost race → hit.
+        lookup(&cache, 2, v, || {
+            lookup(&cache, 2, v, || tiny_graph(2));
             tiny_graph(2)
         });
-        // 4: panicking build → miss, and the panic propagates.
-        let panicked = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            cache.get_or_insert_with(UserId(3), || panic!("boom"))
-        }));
+        // 5: panicking build → miss, and the panic propagates.
+        let panicked =
+            std::panic::catch_unwind(AssertUnwindSafe(|| lookup(&cache, 3, v, || panic!("boom"))));
         assert!(panicked.is_err(), "build panic must propagate");
-        // 5: get miss, 6: get hit.
-        assert!(cache.get(UserId(9)).is_none());
-        assert!(cache.get(UserId(1)).is_some());
+        // 6: miss, 7: hit.
+        assert!(!fill(&cache, 9));
+        assert!(fill(&cache, 1));
 
         let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses), (3, 3), "{stats:?}");
-        assert_eq!(stats.lookups, 6, "{stats:?}");
+        assert_eq!((stats.hits, stats.misses), (3, 4), "{stats:?}");
+        assert_eq!(stats.lookups, 7, "{stats:?}");
         assert_eq!(
             stats.hits + stats.misses,
             stats.lookups,
             "every lookup is exactly one hit or one miss: {stats:?}"
         );
-        assert!(cache.get(UserId(3)).is_none(), "panicked build must leave no entry");
+        assert!(!resident(&cache, 3), "panicked build must leave no entry");
     }
 
     #[test]
     fn zero_capacity_is_clamped_to_one() {
         let cache = SubgraphCache::new(0);
         assert_eq!(cache.capacity(), 1);
-        cache.insert(UserId(1), tiny_graph(1));
-        cache.insert(UserId(2), tiny_graph(2));
+        fill(&cache, 1);
+        fill(&cache, 2);
         assert_eq!(cache.len(), 1);
     }
 
     #[test]
     fn stats_report_bytes() {
         let cache = SubgraphCache::new(4);
-        cache.insert(UserId(1), tiny_graph(1));
+        fill(&cache, 1);
         assert!(cache.stats().approx_bytes > 0);
     }
 
@@ -536,9 +481,9 @@ mod tests {
         // cache of tiny graphs under-reported its footprint. Each entry now
         // carries key (u32) + version + last_used (2x u64) overhead.
         let cache = SubgraphCache::new(8);
-        cache.insert(UserId(1), tiny_graph(1));
+        fill(&cache, 1);
         let one = cache.stats().approx_bytes;
-        cache.insert(UserId(2), tiny_graph(2));
+        fill(&cache, 2);
         let two = cache.stats().approx_bytes;
         let per_graph = tiny_graph(1).approx_bytes();
         assert_eq!(one, per_graph + ENTRY_OVERHEAD_BYTES);
@@ -551,13 +496,13 @@ mod tests {
         let cache = SubgraphCache::new(4);
         let v = |graph: u64| CacheVersion::new(0, graph);
         // Build at graph version 1.
-        let g1 = cache.get_or_insert_versioned(UserId(5), v(1), || tiny_graph(1));
+        let (g1, _) = lookup(&cache, 5, v(1), || tiny_graph(1));
         assert_eq!(g1.root, NodeId(1));
         // Same version: hit, no rebuild.
-        let again = cache.get_or_insert_versioned(UserId(5), v(1), || unreachable!("resident"));
+        let (again, _) = lookup(&cache, 5, v(1), || unreachable!("resident"));
         assert_eq!(again.root, NodeId(1));
         // Version bumped: stale entry dropped and rebuilt.
-        let g2 = cache.get_or_insert_versioned(UserId(5), v(2), || tiny_graph(2));
+        let (g2, _) = lookup(&cache, 5, v(2), || tiny_graph(2));
         assert_eq!(g2.root, NodeId(2));
         let stats = cache.stats();
         assert_eq!((stats.lookups, stats.hits, stats.misses), (3, 1, 2), "{stats:?}");
@@ -571,28 +516,15 @@ mod tests {
         // served under model 2 even on an unchanged graph epoch, and vice
         // versa.
         let cache = SubgraphCache::new(4);
-        let (g, hit) =
-            cache.get_or_insert_versioned_traced(UserId(4), CacheVersion::new(1, 0), || {
-                tiny_graph(1)
-            });
+        let (g, hit) = lookup(&cache, 4, CacheVersion::new(1, 0), || tiny_graph(1));
         assert_eq!((g.root, hit), (NodeId(1), false), "cold build is a miss");
-        let (_, hit) = cache.get_or_insert_versioned_traced(
-            UserId(4),
-            CacheVersion::new(1, 0),
-            || unreachable!(),
-        );
+        let (_, hit) = lookup(&cache, 4, CacheVersion::new(1, 0), || unreachable!());
         assert!(hit, "matching (model, graph) stamp is a hit");
         // Model swap, same graph epoch: stale.
-        let (g, hit) =
-            cache.get_or_insert_versioned_traced(UserId(4), CacheVersion::new(2, 0), || {
-                tiny_graph(2)
-            });
+        let (g, hit) = lookup(&cache, 4, CacheVersion::new(2, 0), || tiny_graph(2));
         assert_eq!((g.root, hit), (NodeId(2), false));
         // Graph refresh, same model: stale again.
-        let (g, hit) =
-            cache.get_or_insert_versioned_traced(UserId(4), CacheVersion::new(2, 1), || {
-                tiny_graph(3)
-            });
+        let (g, hit) = lookup(&cache, 4, CacheVersion::new(2, 1), || tiny_graph(3));
         assert_eq!((g.root, hit), (NodeId(3), false));
         let stats = cache.stats();
         assert_eq!((stats.lookups, stats.hits, stats.misses), (4, 1, 3), "{stats:?}");
@@ -621,8 +553,8 @@ mod tests {
             .get_or_insert_context_versioned(UserId(6), v2, || (tiny_graph(6), Some(state(false))));
         assert!(!hit);
         assert!(!st.expect("rebuilt state").quantized());
-        // The graph-only path leaves the state slot empty.
-        let (g, _) = cache.get_or_insert_versioned_traced(UserId(7), v2, || tiny_graph(7));
+        // A graph-only fill leaves the state slot empty.
+        let (g, _) = lookup(&cache, 7, v2, || tiny_graph(7));
         assert_eq!(g.root, NodeId(7));
         let ((_, st), hit) =
             cache.get_or_insert_context_versioned(UserId(7), v2, || unreachable!("resident"));
@@ -652,12 +584,12 @@ mod tests {
     fn eager_invalidation_counts_only_when_resident() {
         let cache = SubgraphCache::new(4);
         assert!(!cache.invalidate_user(UserId(3)), "nothing resident yet");
-        cache.insert(UserId(3), tiny_graph(3));
+        fill(&cache, 3);
         assert!(cache.invalidate_user(UserId(3)));
         assert!(!cache.invalidate_user(UserId(3)), "already dropped");
         let stats = cache.stats();
         assert_eq!(stats.invalidations, 1, "{stats:?}");
-        assert_eq!(stats.lookups, 0, "invalidation is not a lookup: {stats:?}");
+        assert_eq!(stats.lookups, 1, "invalidation is not a lookup: {stats:?}");
     }
 
     #[test]
@@ -670,12 +602,12 @@ mod tests {
             let c = Arc::clone(&cache);
             handles.push(std::thread::spawn(move || {
                 for i in 0..200u64 {
-                    let user = UserId((i % 8) as u32);
+                    let user = (i % 8) as u32;
                     let version = CacheVersion::new((t + i) % 2, (t + i) % 3);
-                    let g = c.get_or_insert_versioned(user, version, || tiny_graph(user.0));
-                    assert_eq!(g.root, NodeId(user.0));
+                    let (g, _) = lookup(&c, user, version, || tiny_graph(user));
+                    assert_eq!(g.root, NodeId(user));
                     if i % 7 == 0 {
-                        c.invalidate_user(user);
+                        c.invalidate_user(UserId(user));
                     }
                 }
             }));

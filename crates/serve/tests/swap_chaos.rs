@@ -29,6 +29,9 @@ use kucnet_serve::{
 
 const N_USERS: usize = 256;
 const N_ITEMS: usize = 32;
+/// How many of the 100 burst requests must have reached the cache before
+/// the mid-burst hot swap lands.
+const BURST_LOOKUPS_BEFORE_SWAP: u64 = 25;
 
 /// A parsed HTTP response: status code and body.
 struct Response {
@@ -197,6 +200,7 @@ fn hot_swap_mid_burst_under_panics_is_zero_downtime_and_attributable() {
     assert_eq!(items_of(&pre), expected_ranking(0, 200, top_k as usize), "{pre}");
 
     // The burst: 100 concurrent clients racing the swap.
+    let lookups_before_burst = handle.cache_stats().lookups;
     let clients: Vec<_> = (0..100u64)
         .map(|i| {
             std::thread::spawn(move || {
@@ -206,8 +210,15 @@ fn hot_swap_mid_burst_under_panics_is_zero_downtime_and_attributable() {
             })
         })
         .collect();
-    // Land the swap mid-burst (in-process, like an operator sidecar would).
-    std::thread::sleep(Duration::from_millis(5));
+    // Land the swap mid-burst (in-process, like an operator sidecar would)
+    // once a quarter of the burst has reached the cache. Each of those
+    // lookups belongs to a batch pinned to the faulty v1, so v1 builds run
+    // however slow the host is; a fixed delay cannot promise that.
+    let in_flight_deadline = Instant::now() + Duration::from_secs(10);
+    while handle.cache_stats().lookups < lookups_before_burst + BURST_LOOKUPS_BEFORE_SWAP {
+        assert!(Instant::now() < in_flight_deadline, "the burst never reached the cache");
+        std::thread::sleep(Duration::from_micros(200));
+    }
     let new: Arc<dyn ScoreService> = Arc::new(StubService { tag: 1 });
     let v2 = handle.registry().reload("default", new).expect("hot swap");
     assert_eq!(v2, 2);

@@ -40,6 +40,12 @@ echo "== serving: build + integration tests =="
 cargo build --release -p kucnet-serve
 cargo test -q -p kucnet-serve
 
+echo "== benchmark: perfbench builds against crates/ and its unit tests pass =="
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+# An API or dependency change in crates/ must not silently re-lock the
+# benchmark's own dependency graph.
+git diff --exit-code perfbench/Cargo.lock
+
 echo "== serving: chaos suite (fault injection, self-healing, shedding) =="
 cargo test -q -p kucnet-serve --test chaos
 
